@@ -81,6 +81,11 @@ EXEC_THREADS=1 cargo run -q --release --offline -p gigatest-bench --bin bench_ex
 EXEC_THREADS=4 cargo run -q --release --offline -p gigatest-bench --bin bench_exec -- --canary > "$canary_dir/t4.txt"
 diff "$canary_dir/t1.txt" "$canary_dir/t4.txt"
 echo "canary: sweep outputs identical at EXEC_THREADS=1 and 4"
+# Cross-version pin: the same outputs must match the committed golden,
+# so a kernel rewrite cannot move a result byte without a reviewed
+# golden update.
+diff tests/goldens/bench_exec_canary.txt "$canary_dir/t1.txt"
+echo "canary: sweep outputs identical to tests/goldens/bench_exec_canary.txt"
 # Service-layer invariance: the atd loopback integration suite (golden
 # THP/1 wire vectors plus the in-memory protocol walk) ran under both
 # thread counts above; here the load generator's deterministic canary —
@@ -97,6 +102,8 @@ EXEC_THREADS=1 cargo run -q --release --offline -p gigatest-atd-farm --bin atd-l
 EXEC_THREADS=4 cargo run -q --release --offline -p gigatest-atd-farm --bin atd-load -- --pipeline --canary > "$canary_dir/thp2_4.txt"
 diff "$canary_dir/thp2_1.txt" "$canary_dir/thp2_4.txt"
 echo "canary: atd pipelined outputs identical at EXEC_THREADS=1 and 4"
+diff tests/goldens/atd_pipeline_canary.txt "$canary_dir/thp2_1.txt"
+echo "canary: atd pipelined outputs identical to tests/goldens/atd_pipeline_canary.txt"
 # Farm invariance: the coordinator's merged digests must not depend on
 # the fleet shape (1 head = pass-through, 3 heads = shard + re-merge) or
 # on the pool width inside each head. Two diffs pin both axes.
