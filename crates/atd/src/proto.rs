@@ -71,6 +71,13 @@ pub mod limits {
     /// Maximum PRBS stimulus length in bits (shmoo, eye, per-die wafer
     /// test content).
     pub const MAX_BITS: u32 = 1 << 16;
+    /// Stimulus lengths must be positive multiples of this: the datapath
+    /// splits a pattern into 16 equal lane streams, so a shorter pattern
+    /// compares nothing and a remainder would be silently dropped.
+    pub const LANE_BITS: u32 = 16;
+    /// Minimum per-die wafer test content, the mini-tester's own test
+    /// plan floor.
+    pub const MIN_WAFER_BITS: u32 = 64;
     /// Maximum dies per wafer run, and maximum probe-array sites.
     pub const MAX_DIES: u32 = 16_384;
     /// Maximum (threshold × strobe-phase) cells in one shmoo grid.
@@ -495,6 +502,15 @@ impl JobSpec {
                 Ok(())
             }
         };
+        let check_bits = |bits: u32| {
+            if bits > limits::MAX_BITS {
+                bad("stimulus length exceeds the bits ceiling")
+            } else if bits == 0 || !bits.is_multiple_of(limits::LANE_BITS) {
+                bad("stimulus length must be a positive multiple of the 16 datapath lanes")
+            } else {
+                Ok(())
+            }
+        };
         match *self {
             JobSpec::Shmoo {
                 rate_bps,
@@ -506,9 +522,7 @@ impl JobSpec {
                 ..
             } => {
                 check_rate(rate_bps)?;
-                if bits > limits::MAX_BITS {
-                    return bad("stimulus length exceeds the bits ceiling");
-                }
+                check_bits(bits)?;
                 if phase_step_fs <= 0 {
                     return bad("phase step must be positive");
                 }
@@ -530,9 +544,7 @@ impl JobSpec {
             }
             JobSpec::Eye { rate_bps, bits, .. } => {
                 check_rate(rate_bps)?;
-                if bits > limits::MAX_BITS {
-                    return bad("stimulus length exceeds the bits ceiling");
-                }
+                check_bits(bits)?;
             }
             JobSpec::Wafer {
                 dies,
@@ -550,8 +562,9 @@ impl JobSpec {
                 if dies > limits::MAX_DIES || sites > limits::MAX_DIES {
                     return bad("wafer run exceeds the die ceiling");
                 }
-                if test_bits > limits::MAX_BITS {
-                    return bad("stimulus length exceeds the bits ceiling");
+                check_bits(test_bits)?;
+                if test_bits < limits::MIN_WAFER_BITS {
+                    return bad("wafer test content needs at least 64 bits");
                 }
                 for rate in [hard_defect_rate, marginal_rate] {
                     if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
@@ -1696,7 +1709,7 @@ mod tests {
         let cases = [
             JobSpec::Shmoo {
                 rate_bps: 0,
-                bits: 1,
+                bits: 16,
                 stim_seed: 0,
                 phase_step_fs: 1,
                 v_start_mv: 0,
@@ -1711,7 +1724,7 @@ mod tests {
                 hard_defect_rate: 0.0,
                 marginal_rate: 0.0,
                 rate_bps: GBPS,
-                test_bits: 1,
+                test_bits: 64,
                 seed: 0,
             },
             JobSpec::Wafer {
@@ -1721,10 +1734,10 @@ mod tests {
                 hard_defect_rate: f64::NAN,
                 marginal_rate: 0.0,
                 rate_bps: GBPS,
-                test_bits: 1,
+                test_bits: 64,
                 seed: 0,
             },
-            JobSpec::Eye { rate_bps: 0, bits: 1, stim_seed: 0, seed: 0 },
+            JobSpec::Eye { rate_bps: 0, bits: 16, stim_seed: 0, seed: 0 },
             JobSpec::Bathtub {
                 rj_rms_fs: -1,
                 dj_pp_fs: 0,
@@ -1743,6 +1756,89 @@ mod tests {
         for spec in cases {
             assert!(spec.validate().is_err(), "{spec:?}");
             // The same rejection fires on the decode path.
+            let bytes = spec.key_bytes();
+            let mut r = Reader::new(&bytes);
+            assert!(JobSpec::decode(&mut r).is_err(), "{spec:?}");
+        }
+        // Stimulus lengths the 16-lane datapath cannot render: none at
+        // all, shorter than one lane word, or with a remainder the lanes
+        // would drop. Each is otherwise valid, so the length is the
+        // reason.
+        let length_cases = [
+            JobSpec::Eye { rate_bps: GBPS, bits: 0, stim_seed: 0, seed: 0 },
+            JobSpec::Eye { rate_bps: GBPS, bits: 8, stim_seed: 0, seed: 0 },
+            JobSpec::Eye { rate_bps: GBPS, bits: 17, stim_seed: 0, seed: 0 },
+            JobSpec::EyeRange {
+                rate_bps: GBPS,
+                bits: 17,
+                stim_seed: 0,
+                seed: 0,
+                phase_start: 0,
+                phase_count: 1,
+            },
+            JobSpec::Shmoo {
+                rate_bps: GBPS,
+                bits: 15,
+                stim_seed: 0,
+                phase_step_fs: 100_000,
+                v_start_mv: -1700,
+                v_end_mv: -900,
+                v_step_mv: 100,
+                seed: 0,
+            },
+            JobSpec::ShmooRows {
+                rate_bps: GBPS,
+                bits: 8,
+                stim_seed: 0,
+                phase_step_fs: 100_000,
+                v_start_mv: -1700,
+                v_end_mv: -900,
+                v_step_mv: 100,
+                seed: 0,
+                row_start: 0,
+                row_count: 1,
+            },
+            // Wafer test content also needs the test plan's 64-bit floor.
+            JobSpec::Wafer {
+                columns: 1,
+                dies: 1,
+                sites: 1,
+                hard_defect_rate: 0.0,
+                marginal_rate: 0.0,
+                rate_bps: GBPS,
+                test_bits: 48,
+                seed: 0,
+            },
+            JobSpec::Wafer {
+                columns: 1,
+                dies: 1,
+                sites: 1,
+                hard_defect_rate: 0.0,
+                marginal_rate: 0.0,
+                rate_bps: GBPS,
+                test_bits: 65,
+                seed: 0,
+            },
+            JobSpec::WaferDies {
+                columns: 1,
+                dies: 2,
+                sites: 1,
+                hard_defect_rate: 0.0,
+                marginal_rate: 0.0,
+                rate_bps: GBPS,
+                test_bits: 32,
+                seed: 0,
+                die_start: 0,
+                die_count: 1,
+            },
+        ];
+        for spec in length_cases {
+            let err = spec.validate().unwrap_err();
+            assert!(
+                matches!(err, FrameError::BadPayload { context }
+                    if context.contains("16 datapath lanes") || context.contains("64 bits")),
+                "{spec:?}: {err:?}"
+            );
             let bytes = spec.key_bytes();
             let mut r = Reader::new(&bytes);
             assert!(JobSpec::decode(&mut r).is_err(), "{spec:?}");

@@ -10,12 +10,31 @@
 
 use exec::{ExecPool, PoolJob};
 use pstime::{DataRate, Duration, Millivolts};
+use signal::{AnalogWaveform, BitStream};
 
 use crate::error::AtdError;
 use crate::proto::{JobResult, JobSpec};
 
 fn to_usize(v: u32) -> usize {
     usize::try_from(v).unwrap_or(usize::MAX)
+}
+
+/// Boots one datapath and renders from it both the expected serial
+/// pattern and the analog PRBS stimulus, as `MiniTester::run` does. One
+/// boot serves both calls: `prbs_lanes` reconfigures all 16 lanes each
+/// time, so the second render starts from the same lane state as a fresh
+/// datapath would.
+fn render_prbs(
+    rate_bps: u64,
+    bits: u32,
+    stim_seed: u64,
+) -> Result<(DataRate, BitStream, AnalogWaveform), AtdError> {
+    let rate = DataRate::from_bps(rate_bps);
+    let n_bits = to_usize(bits);
+    let mut path = minitester::MiniTesterDatapath::new()?;
+    let expected = path.expected_prbs(rate, n_bits)?;
+    let wave = path.prbs_stimulus(rate, n_bits, stim_seed)?;
+    Ok((rate, expected, wave))
 }
 
 /// Runs one job spec on `pool`, returning its wire-form result.
@@ -41,12 +60,7 @@ pub fn execute(spec: &JobSpec, pool: &ExecPool) -> Result<JobResult, AtdError> {
             v_step_mv,
             seed,
         } => {
-            let rate = DataRate::from_bps(rate_bps);
-            let n_bits = to_usize(bits);
-            let mut path = minitester::MiniTesterDatapath::new()?;
-            let expected = path.expected_prbs(rate, n_bits)?;
-            let mut stim_path = minitester::MiniTesterDatapath::new()?;
-            let wave = stim_path.prbs_stimulus(rate, n_bits, stim_seed)?;
+            let (rate, expected, wave) = render_prbs(rate_bps, bits, stim_seed)?;
             let config = minitester::ShmooConfig {
                 phase_step: Duration::from_fs(phase_step_fs),
                 v_start: Millivolts::new(v_start_mv),
@@ -82,12 +96,7 @@ pub fn execute(spec: &JobSpec, pool: &ExecPool) -> Result<JobResult, AtdError> {
             Ok(JobResult::from_wafer(&report)?)
         }
         JobSpec::Eye { rate_bps, bits, stim_seed, seed } => {
-            let rate = DataRate::from_bps(rate_bps);
-            let n_bits = to_usize(bits);
-            let mut path = minitester::MiniTesterDatapath::new()?;
-            let expected = path.expected_prbs(rate, n_bits)?;
-            let mut stim_path = minitester::MiniTesterDatapath::new()?;
-            let wave = stim_path.prbs_stimulus(rate, n_bits, stim_seed)?;
+            let (rate, expected, wave) = render_prbs(rate_bps, bits, stim_seed)?;
             let capture = minitester::EtCapture::new();
             let scan = minitester::EyeScanJob {
                 capture: &capture,
@@ -126,12 +135,7 @@ pub fn execute(spec: &JobSpec, pool: &ExecPool) -> Result<JobResult, AtdError> {
             row_start,
             row_count,
         } => {
-            let rate = DataRate::from_bps(rate_bps);
-            let n_bits = to_usize(bits);
-            let mut path = minitester::MiniTesterDatapath::new()?;
-            let expected = path.expected_prbs(rate, n_bits)?;
-            let mut stim_path = minitester::MiniTesterDatapath::new()?;
-            let wave = stim_path.prbs_stimulus(rate, n_bits, stim_seed)?;
+            let (rate, expected, wave) = render_prbs(rate_bps, bits, stim_seed)?;
             let config = minitester::ShmooConfig {
                 phase_step: Duration::from_fs(phase_step_fs),
                 v_start: Millivolts::new(v_start_mv),
@@ -169,12 +173,7 @@ pub fn execute(spec: &JobSpec, pool: &ExecPool) -> Result<JobResult, AtdError> {
             Ok(JobResult::from_wafer(&report)?)
         }
         JobSpec::EyeRange { rate_bps, bits, stim_seed, seed, phase_start, phase_count } => {
-            let rate = DataRate::from_bps(rate_bps);
-            let n_bits = to_usize(bits);
-            let mut path = minitester::MiniTesterDatapath::new()?;
-            let expected = path.expected_prbs(rate, n_bits)?;
-            let mut stim_path = minitester::MiniTesterDatapath::new()?;
-            let wave = stim_path.prbs_stimulus(rate, n_bits, stim_seed)?;
+            let (rate, expected, wave) = render_prbs(rate_bps, bits, stim_seed)?;
             let capture = minitester::EtCapture::new();
             let scan = minitester::EyeScanJob {
                 capture: &capture,
@@ -201,6 +200,8 @@ mod tests {
         let spec = JobSpec::shmoo(rate, 256, 17, &config, 5);
         let remote = execute(&spec, &pool).unwrap();
 
+        // Two separately booted datapaths: the reference for the single
+        // boot `execute` shares between pattern and stimulus.
         let mut path = minitester::MiniTesterDatapath::new().unwrap();
         let expected = path.expected_prbs(rate, 256).unwrap();
         let mut stim = minitester::MiniTesterDatapath::new().unwrap();

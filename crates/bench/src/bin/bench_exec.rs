@@ -68,8 +68,7 @@ fn prbs_setup(gbps: f64, bits: usize) -> Result<(AnalogWaveform, DataRate, BitSt
     let rate = DataRate::from_gbps(gbps);
     let mut path = MiniTesterDatapath::new()?;
     let expected = path.expected_prbs(rate, bits)?;
-    let mut path2 = MiniTesterDatapath::new()?;
-    let wave = path2.prbs_stimulus(rate, bits, 17)?;
+    let wave = path.prbs_stimulus(rate, bits, 17)?;
     Ok((wave, rate, expected))
 }
 

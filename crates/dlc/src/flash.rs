@@ -137,7 +137,7 @@ impl fmt::Display for Bitstream {
 /// Programming follows real NOR semantics: bits can only be cleared by
 /// programming; returning them to 1 requires a sector erase. The JTAG layer
 /// drives [`erase_all`](FlashMemory::erase_all) then
-/// [`program`](FlashMemory::program).
+/// [`program_word`](FlashMemory::program_word) once per shifted word.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlashMemory {
     words: Vec<u32>,
@@ -180,6 +180,20 @@ impl FlashMemory {
         for (w, d) in self.words.iter_mut().zip(data) {
             *w &= *d; // NOR programming clears bits only
         }
+        Ok(())
+    }
+
+    /// Programs one word at `addr` (NOR semantics: clears bits only).
+    ///
+    /// # Errors
+    ///
+    /// [`DlcError::InvalidBitstream`] if `addr` is past the device.
+    pub fn program_word(&mut self, addr: usize, word: u32) -> Result<()> {
+        let w = self
+            .words
+            .get_mut(addr)
+            .ok_or(DlcError::InvalidBitstream { reason: "image exceeds flash capacity" })?;
+        *w &= word;
         Ok(())
     }
 
@@ -326,6 +340,25 @@ mod tests {
         flash.corrupt_bit(20, 7);
         let err = flash.load_bitstream().unwrap_err();
         assert!(matches!(err, DlcError::InvalidBitstream { reason: "CRC mismatch" }));
+    }
+
+    #[test]
+    fn program_word_matches_whole_image_program() {
+        let words = Bitstream::example_design().to_words();
+        let mut whole = FlashMemory::new(512);
+        whole.program(&words).unwrap();
+        let mut by_word = FlashMemory::new(512);
+        for (addr, w) in words.iter().enumerate() {
+            by_word.program_word(addr, *w).unwrap();
+        }
+        assert_eq!(by_word, whole);
+        // NOR: programming again ANDs into the stored word.
+        by_word.program_word(3, 0x0F0F_0F0F).unwrap();
+        assert_eq!(by_word.read_all()[3], words[3] & 0x0F0F_0F0F);
+        assert!(matches!(
+            by_word.program_word(512, 0),
+            Err(DlcError::InvalidBitstream { reason: "image exceeds flash capacity" })
+        ));
     }
 
     #[test]

@@ -242,13 +242,10 @@ impl JtagPort {
             UpdateDr => {
                 if self.instruction == Instruction::FlashProgram {
                     let word = (self.dr_shift & 0xFFFF_FFFF) as u32;
-                    // NOR-program the word at the auto-incrementing address.
-                    let addr = self.flash_addr;
-                    if addr < self.flash.capacity() {
-                        let mut image = vec![0xFFFF_FFFFu32; addr + 1];
-                        image[addr] = word;
-                        // program() ANDs, so leading erased words are no-ops.
-                        let _ = self.flash.program(&image);
+                    // NOR-program the word at the auto-incrementing address;
+                    // a word shifted past the device end is dropped and the
+                    // address stops there.
+                    if self.flash.program_word(self.flash_addr, word).is_ok() {
                         self.flash_addr += 1;
                     }
                 } else if self.instruction == Instruction::FlashVerify {

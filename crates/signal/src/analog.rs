@@ -287,6 +287,11 @@ impl AnalogWaveform {
     /// Superposes every transition whose logistic tail is non-negligible at
     /// `t`; with well-separated edges this is the settled VOH/VOL, with
     /// overlapping edges it reproduces ISI amplitude compression.
+    ///
+    /// Costs O(log E + w) for E edges, w of them inside the logistic
+    /// window around `t`: a binary search finds the window, the edges
+    /// before it contribute their settled level in closed form, and only
+    /// the window is summed.
     pub fn value_at(&self, t: Instant) -> f64 {
         let swing = self.levels.swing().as_f64();
         let base = if self.digital.initial_level() {
@@ -302,11 +307,17 @@ impl AnalogWaveform {
         let max_tau = self.shape.rise_tau_fs.max(self.shape.fall_tau_fs);
         let win = Duration::from_fs((max_tau * EDGE_WINDOW_TAUS).ceil() as i64);
         let lo_idx = edges.partition_point(|e| e.at < t - win);
-        let mut v = base;
-        // Edges fully in the past (before the window) contribute their full step.
-        for e in &edges[..lo_idx] {
-            v += e.polarity.sign() * swing;
-        }
+        // Edges fully in the past (before the window) contribute their full
+        // step. Polarities strictly alternate (every constructor enforces
+        // it), so those steps cancel in pairs: the settled level is `base`
+        // after an even count and one step away after an odd one. This is
+        // bit-identical to summing them one by one, because levels are
+        // whole millivolts and every partial sum is an integer that f64
+        // represents exactly.
+        let mut v = match edges.first() {
+            Some(first) if lo_idx % 2 == 1 => base + first.polarity.sign() * swing,
+            _ => base,
+        };
         for e in &edges[lo_idx..] {
             let dt = (t - e.at).as_fs() as f64;
             if dt < -win.as_fs() as f64 {
@@ -418,7 +429,7 @@ fn logistic(x: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::jitter::NoJitter;
-    use crate::BitStream;
+    use crate::{BitStream, Edge};
     use pstime::DataRate;
 
     fn analog(bits: &str, gbps: f64, rise_ps: f64) -> AnalogWaveform {
@@ -556,6 +567,115 @@ mod tests {
         assert_eq!(samples.len(), 16);
         assert!((samples[2] + 1700.0).abs() < 1.0); // 200 ps: low
         assert!((samples[8] + 900.0).abs() < 1.0); // 800 ps: high
+    }
+
+    /// The original O(E) evaluation: every settled edge before the window
+    /// re-added one by one. `value_at` must match it bit for bit.
+    fn value_at_reference(a: &AnalogWaveform, t: Instant) -> f64 {
+        let swing = a.levels.swing().as_f64();
+        let base = if a.digital.initial_level() {
+            a.levels.voh().as_f64()
+        } else {
+            a.levels.vol().as_f64()
+        };
+        let edges = a.digital.edges();
+        if edges.is_empty() {
+            return base;
+        }
+        let max_tau = a.shape.rise_tau_fs.max(a.shape.fall_tau_fs);
+        let win = Duration::from_fs((max_tau * EDGE_WINDOW_TAUS).ceil() as i64);
+        let lo_idx = edges.partition_point(|e| e.at < t - win);
+        let mut v = base;
+        for e in &edges[..lo_idx] {
+            v += e.polarity.sign() * swing;
+        }
+        for e in &edges[lo_idx..] {
+            let dt = (t - e.at).as_fs() as f64;
+            if dt < -win.as_fs() as f64 {
+                break;
+            }
+            let tau = a.shape.tau_fs(e.polarity);
+            v += e.polarity.sign() * swing * logistic(dt / tau);
+        }
+        v
+    }
+
+    /// Instants before the first edge, on and around every edge (inside
+    /// its logistic window), past the last edge, and on a 7 ps grid over
+    /// the whole span.
+    fn probe_instants(d: &DigitalWaveform) -> Vec<Instant> {
+        let far = Duration::from_ps(5_000);
+        let mut ts = vec![d.start() - far, d.end() + far];
+        if let (Some(first), Some(last)) = (d.edges().first(), d.edges().last()) {
+            ts.extend([first.at - far, first.at - Duration::from_fs(1), last.at + far]);
+        }
+        for e in d.edges() {
+            for off_fs in [-40_000, -3_000, -1, 0, 1, 3_000, 40_000] {
+                ts.push(e.at + Duration::from_fs(off_fs));
+            }
+        }
+        let mut t = d.start() - far;
+        while t < d.end() + far {
+            ts.push(t);
+            t += Duration::from_ps(7);
+        }
+        ts
+    }
+
+    #[test]
+    fn value_at_is_bit_identical_to_the_linear_sum() {
+        let rate = DataRate::from_gbps(5.0);
+        // A pseudo-random pattern with long and short runs.
+        let bits = BitStream::from_fn(256, |i| (i * 7 + i / 5 + (i * i) % 11) % 3 == 0);
+        let budget = crate::jitter::JitterBudget::new()
+            .with_rj_rms_ps(3.2)
+            .with_dcd_ps(12.0)
+            .with_isi_ps(8.0);
+        let jittered = DigitalWaveform::from_bits(&bits, rate, &budget, 0x5EED);
+        let edges = |initial: bool| {
+            let mut level = initial;
+            (1..40)
+                .map(|i| {
+                    level = !level;
+                    let at = Instant::from_ps(i * 90 + (i % 3) * 20);
+                    if level {
+                        Edge::rising(at)
+                    } else {
+                        Edge::falling(at)
+                    }
+                })
+                .collect::<Vec<_>>()
+        };
+        let (start, end) = (Instant::ZERO, Instant::from_ps(4_000));
+        let high = DigitalWaveform::from_edges(true, edges(true), start, end);
+        let low = DigitalWaveform::from_edges(false, edges(false), start, end);
+        let digitals = [
+            jittered.clone(),
+            high.clone(),
+            low.clone(),
+            jittered.inverted(),
+            jittered.delayed(Duration::from_ps(-137)),
+            high.xor(&jittered),
+            low.xor(&high.delayed(Duration::from_ps(45))),
+        ];
+        let shapes =
+            [EdgeShape::from_rise_2080_ps(20.0), EdgeShape::from_rise_fall_2080_ps(150.0, 90.0)];
+        for (k, d) in digitals.iter().enumerate() {
+            assert!(d.num_edges() > 0, "waveform {k} has no edges");
+            for levels in [LevelSet::pecl(), LevelSet::lvcmos18()] {
+                for shape in shapes {
+                    let a = AnalogWaveform::new(d.clone(), levels, shape);
+                    for t in probe_instants(d) {
+                        let (got, want) = (a.value_at(t), value_at_reference(&a, t));
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "waveform {k} at {t}: {got} vs {want}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
