@@ -230,6 +230,33 @@ mod tests {
         assert!((0.0015..0.0045).contains(&tail), "3-sigma tail {tail}");
     }
 
+    /// FNV-1a over the bit patterns of `draws` — a pin on every bit.
+    fn digest(draws: impl IntoIterator<Item = f64>) -> u64 {
+        draws.into_iter().fold(0xCBF2_9CE4_8422_2325u64, |h, z| {
+            z.to_bits()
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, b| (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01B3))
+        })
+    }
+
+    /// The first 1,000 `gaussian()` draws of three seeds, pinned as a
+    /// digest of their bit patterns.
+    const GAUSSIAN_PINS: [(u64, u64); 3] = [
+        (1, 0xA691_B804_0133_7E78),
+        (2005, 0xF66B_1642_34EA_A7CD),
+        (0xDEAD_BEEF, 0xE6A8_94D2_3B6F_E341),
+    ];
+
+    #[test]
+    fn gaussian_draws_are_pinned() {
+        for (seed, want) in GAUSSIAN_PINS {
+            let mut g = Rng::seed_from_u64(seed);
+            let got = digest((0..1_000).map(|_| g.gaussian()));
+            assert_eq!(got, want, "seed {seed}: {got:#018X}");
+        }
+    }
+
     #[test]
     fn ranges_cover_and_stay_in_bounds() {
         let mut g = Rng::seed_from_u64(3);

@@ -12,7 +12,7 @@ use atd::stream::stream_digest;
 use atd::workload::execute;
 use atd::JobSpec;
 use exec::ExecPool;
-use pstime::{DataRate, Duration};
+use pstime::{DataRate, Duration, Millivolts};
 
 fn shmoo() -> JobSpec {
     JobSpec::shmoo(DataRate::from_gbps(2.5), 256, 17, &minitester::ShmooConfig::pecl(), 5)
@@ -30,6 +30,33 @@ fn wafer() -> JobSpec {
 
 fn eye() -> JobSpec {
     JobSpec::eye(DataRate::from_gbps(2.5), 256, 21, 9)
+}
+
+/// Threshold rows from VOL to VOH in 100 mV steps: the first and last
+/// rows compare against a settled rail itself.
+fn shmoo_on_the_rails() -> JobSpec {
+    let config = minitester::ShmooConfig {
+        v_start: Millivolts::new(-1700),
+        v_end: Millivolts::new(-900),
+        v_step: Millivolts::new(100),
+        ..minitester::ShmooConfig::pecl()
+    };
+    JobSpec::shmoo(DataRate::from_gbps(2.5), 256, 19, &config, 23)
+}
+
+/// Half the dies marginal, so many sites test through the degraded
+/// loopback channel.
+fn wafer_marginal() -> JobSpec {
+    JobSpec::wafer(&minitester::WaferRunConfig {
+        dies: 12,
+        columns: 4,
+        sites: 4,
+        test_bits: 256,
+        hard_defect_rate: 0.1,
+        marginal_rate: 0.5,
+        seed: 29,
+        ..minitester::WaferRunConfig::default()
+    })
 }
 
 /// The spec list and its frozen digests, one row per kind plus a long
@@ -55,6 +82,15 @@ fn goldens() -> Vec<(&'static str, JobSpec, u64)> {
         ("wafer-dies", slice(wafer(), 3, 4), 0x67E4_4E6C_14D1_E61C),
         ("eye-range", slice(eye(), 5, 7), 0x8F66_91BC_0BC2_5F5B),
         ("eye-4096", JobSpec::eye(DataRate::from_gbps(5.0), 4_096, 3, 11), 0xE8A1_4B56_4C30_BBC1),
+        // Specs whose strobes often sit close to the threshold, frozen
+        // before strobe decisions were certified, so they pin the slow
+        // path as well as the settled one: heavy ISI at 5 Gb/s, threshold
+        // rows exactly on both rails, degraded loopback channels, and a
+        // slow eye with long settled stretches.
+        ("eye-5g", JobSpec::eye(DataRate::from_gbps(5.0), 512, 7, 13), 0xE08E_6766_D40F_9AEF),
+        ("shmoo-rails", shmoo_on_the_rails(), 0xB5DD_C1D6_DD66_3F36),
+        ("wafer-marginal", wafer_marginal(), 0xAFF9_A203_EB6D_E672),
+        ("eye-1g", JobSpec::eye(DataRate::from_gbps(1.0), 256, 5, 17), 0x3818_D1AE_EE7C_6665),
     ]
 }
 
