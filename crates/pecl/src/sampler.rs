@@ -8,8 +8,8 @@
 //! without a bench oscilloscope.
 
 use pstime::{DataRate, Duration, Instant, Millivolts};
-use rng::{Rng, SeedTree, StreamId};
-use signal::{AnalogWaveform, BitStream};
+use rng::{Normal, Rng, SeedTree, StreamId, NORMAL_BOUND};
+use signal::{AnalogWaveform, BitStream, Comparator};
 
 /// Substream identity for capture aperture-jitter draws.
 pub const SAMPLER_STREAM: StreamId = StreamId::named("pecl.sampler");
@@ -90,12 +90,29 @@ impl StrobedSampler {
     /// Samples the waveform once at `strobe` (with aperture jitter drawn
     /// from `rng`).
     pub fn sample_at(&self, wave: &AnalogWaveform, strobe: Instant, rng: &mut Rng) -> bool {
-        let t = if self.aperture_rj.is_zero() {
-            strobe
-        } else {
-            strobe + gaussian(rng, self.aperture_rj)
-        };
-        wave.value_at(t) >= (self.threshold + self.input_offset).as_f64()
+        self.decide(&mut self.comparator(wave), strobe, rng)
+    }
+
+    /// A comparator at the effective decision level: the threshold plus
+    /// the input-referred offset.
+    fn comparator<'a>(&self, wave: &'a AnalogWaveform) -> Comparator<'a> {
+        wave.comparator((self.threshold + self.input_offset).as_f64())
+    }
+
+    /// One strobe decision, `value_at(strobe + jitter) >= level`, with the
+    /// jitter drawn from `rng` whether or not it is needed. A deferred
+    /// draw is bounded by [`NORMAL_BOUND`] σ, so when the comparator can
+    /// decide the whole reach of the jitter at once the Box–Muller
+    /// evaluation is skipped; the stream advances the same either way.
+    fn decide(&self, cmp: &mut Comparator<'_>, strobe: Instant, rng: &mut Rng) -> bool {
+        if self.aperture_rj.is_zero() {
+            return cmp.is_high_at(strobe);
+        }
+        let draw = rng.normal();
+        if let Some(high) = cmp.decided_within(strobe, jitter_reach(self.aperture_rj)) {
+            return high;
+        }
+        cmp.is_high_at(strobe + jitter(draw, self.aperture_rj))
     }
 
     /// Captures `n` bits: one strobe per unit interval at phase offset
@@ -111,8 +128,9 @@ impl StrobedSampler {
         let ui = rate.unit_interval();
         let start = wave.digital().start();
         let mut rng = SeedTree::new(seed).derive(SAMPLER_STREAM).rng();
+        let mut cmp = self.comparator(wave);
         BitStream::from_fn(n, |i| {
-            self.sample_at(wave, start + ui * i as i64 + strobe_phase, &mut rng)
+            self.decide(&mut cmp, start + ui * i as i64 + strobe_phase, &mut rng)
         })
     }
 
@@ -144,8 +162,16 @@ impl StrobedSampler {
     }
 }
 
-fn gaussian(rng: &mut Rng, sigma: Duration) -> Duration {
-    Duration::from_fs((rng.gaussian() * sigma.as_fs() as f64).round() as i64)
+/// The aperture displacement of one draw: `z·σ`, rounded to the femtosecond.
+fn jitter(draw: Normal, sigma: Duration) -> Duration {
+    Duration::from_fs((draw.value() * sigma.as_fs() as f64).round() as i64)
+}
+
+/// A reach no [`jitter`] exceeds: `|z| < NORMAL_BOUND`, so
+/// `|round(z·σ)| ≤ ⌈NORMAL_BOUND·σ⌉`, and one more femtosecond absorbs
+/// the rounding of the product.
+fn jitter_reach(sigma: Duration) -> Duration {
+    Duration::from_fs((NORMAL_BOUND * sigma.as_fs() as f64).ceil() as i64 + 1)
 }
 
 #[cfg(test)]
@@ -235,6 +261,73 @@ mod tests {
         assert_eq!(centre.1, 0, "errors at centre phase {}", centre.0);
         // Crossover (phase ~0) must not be clean.
         assert!(scan[0].1 > 0, "expected errors at the crossover");
+    }
+
+    /// The strobe decision before certified comparisons: draw and
+    /// evaluate the jitter, then compare `value_at` against the level.
+    fn capture_reference(
+        s: &StrobedSampler,
+        wave: &AnalogWaveform,
+        rate: DataRate,
+        phase: Duration,
+        n: usize,
+        seed: u64,
+    ) -> BitStream {
+        let mut rng = SeedTree::new(seed).derive(SAMPLER_STREAM).rng();
+        let level = (s.threshold() + s.input_offset()).as_f64();
+        let ui = rate.unit_interval();
+        BitStream::from_fn(n, |i| {
+            let mut t = wave.digital().start() + ui * i as i64 + phase;
+            if !s.aperture_rj().is_zero() {
+                let z = rng.gaussian();
+                t += Duration::from_fs((z * s.aperture_rj().as_fs() as f64).round() as i64);
+            }
+            wave.value_at(t) >= level
+        })
+    }
+
+    #[test]
+    fn certified_captures_match_the_evaluated_reference() {
+        let bits = BitStream::from_fn(96, |i| (i * 5 + i / 3 + (i * i) % 7) % 3 != 0);
+        for gbps in [1.0, 2.5, 4.0, 5.0] {
+            let rate = DataRate::from_gbps(gbps);
+            let wave = AnalogWaveform::new(
+                DigitalWaveform::from_bits(
+                    &bits,
+                    rate,
+                    &JitterBudget::new().with_rj_rms_ps(3.0),
+                    2,
+                ),
+                LevelSet::pecl(),
+                EdgeShape::from_rise_fall_2080_ps(120.0, 90.0),
+            );
+            for (thr, offset, rj_ps) in
+                [(-1300, 0, 2), (-1700, 0, 2), (-900, 0, 2), (-1650, 25, 20), (-1000, -40, 0)]
+            {
+                let mut s = StrobedSampler::new(Millivolts::new(thr), Duration::from_ps(rj_ps));
+                s.set_input_offset(Millivolts::new(offset));
+                let steps = 23;
+                for k in 0..steps {
+                    let phase = rate.unit_interval().mul_f64(k as f64 / steps as f64);
+                    let seed = 100 + k as u64;
+                    assert_eq!(
+                        s.capture(&wave, rate, phase, bits.len(), seed),
+                        capture_reference(&s, &wave, rate, phase, bits.len(), seed),
+                        "{gbps} Gb/s, threshold {thr}, offset {offset}, rj {rj_ps} ps, phase {phase}"
+                    );
+                }
+                // One-off samples walk the same stream as a capture.
+                let mut rng = SeedTree::new(9).derive(SAMPLER_STREAM).rng();
+                let one_by_one = BitStream::from_fn(bits.len(), |i| {
+                    s.sample_at(
+                        &wave,
+                        wave.digital().start() + rate.unit_interval() * i as i64,
+                        &mut rng,
+                    )
+                });
+                assert_eq!(one_by_one, s.capture(&wave, rate, Duration::ZERO, bits.len(), 9));
+            }
+        }
     }
 
     #[test]

@@ -22,9 +22,9 @@ const fn rotl(x: u64, k: u32) -> u64 {
 ///
 /// * [`next_u64`](Rng::next_u64) / [`next_u32`](Rng::next_u32) — raw bits,
 /// * [`f64`](Rng::f64) — uniform in `[0, 1)` with 53-bit resolution,
-/// * [`gaussian`](Rng::gaussian) — standard normal via Box–Muller (the
-///   spare deviate is cached, so consecutive draws cost one transcendental
-///   pair per two values),
+/// * [`gaussian`](Rng::gaussian) — standard normal via Box–Muller, and
+///   [`normal`](Rng::normal), the same draw with its evaluation deferred
+///   (one uniform pair serves two consecutive draws),
 /// * bounded integers via [`range_u32`](Rng::range_u32) and friends.
 ///
 /// # Examples
@@ -41,7 +41,43 @@ const fn rotl(x: u64, k: u32) -> u64 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rng {
     s: [u64; 4],
-    spare: Option<f64>,
+    /// The uniform pair whose sine half the next draw returns.
+    pending: Option<(f64, f64)>,
+}
+
+/// A bound on the magnitude of every standard normal deviate this crate
+/// produces: `|Normal::value()| < NORMAL_BOUND`.
+///
+/// Box–Muller returns `r·cos θ` or `r·sin θ` with `r = √(−2 ln u₁)`, and
+/// `u₁` is a nonzero multiple of 2⁻⁵³, so `r ≤ √(106 ln 2) ≈ 8.571674`.
+pub const NORMAL_BOUND: f64 = 8.5717;
+
+/// A standard normal draw whose Box–Muller evaluation is deferred.
+///
+/// [`Rng::normal`] consumes exactly the uniforms [`Rng::gaussian`] would,
+/// so a caller that only needs to know the draw is bounded by
+/// [`NORMAL_BOUND`] can skip the transcendental functions and stay on
+/// the same stream. [`value`](Normal::value) is the deviate
+/// [`Rng::gaussian`] returns for the same position in the stream.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Normal {
+    u1: f64,
+    u2: f64,
+    sine: bool,
+}
+
+impl Normal {
+    /// The standard normal deviate.
+    #[inline]
+    pub fn value(self) -> f64 {
+        let r = (-2.0 * self.u1.ln()).sqrt();
+        let theta = 2.0 * core::f64::consts::PI * self.u2;
+        if self.sine {
+            r * theta.sin()
+        } else {
+            r * theta.cos()
+        }
+    }
 }
 
 impl Rng {
@@ -51,7 +87,7 @@ impl Rng {
     pub fn seed_from_u64(seed: u64) -> Self {
         let mut sm = SplitMix64::new(seed);
         let s = [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()];
-        Rng { s, spare: None }
+        Rng { s, pending: None }
     }
 
     /// The next 64 raw bits.
@@ -156,10 +192,16 @@ impl Rng {
         lo + self.f64() * (hi - lo)
     }
 
-    /// A standard normal deviate via Box–Muller, caching the spare.
+    /// A standard normal deviate via Box–Muller.
     pub fn gaussian(&mut self) -> f64 {
-        if let Some(z) = self.spare.take() {
-            return z;
+        self.normal().value()
+    }
+
+    /// A standard normal draw, evaluated on demand. A fresh uniform pair
+    /// yields its cosine half now and its sine half on the next draw.
+    pub fn normal(&mut self) -> Normal {
+        if let Some((u1, u2)) = self.pending.take() {
+            return Normal { u1, u2, sine: true };
         }
         loop {
             let u1 = self.f64();
@@ -167,10 +209,8 @@ impl Rng {
             if u1 <= f64::MIN_POSITIVE {
                 continue;
             }
-            let r = (-2.0 * u1.ln()).sqrt();
-            let theta = 2.0 * core::f64::consts::PI * u2;
-            self.spare = Some(r * theta.sin());
-            return r * theta.cos();
+            self.pending = Some((u1, u2));
+            return Normal { u1, u2, sine: false };
         }
     }
 }
@@ -255,6 +295,42 @@ mod tests {
             let got = digest((0..1_000).map(|_| g.gaussian()));
             assert_eq!(got, want, "seed {seed}: {got:#018X}");
         }
+    }
+
+    #[test]
+    fn deferred_draws_follow_the_gaussian_stream() {
+        // Any mix of normal() and gaussian() walks the pinned sequence.
+        for (seed, want) in GAUSSIAN_PINS {
+            let mut g = Rng::seed_from_u64(seed);
+            let mut deferred = Vec::new();
+            let draws = (0..1_000).map(|i| match i % 5 {
+                0 | 3 => g.gaussian(),
+                1 => g.normal().value(),
+                _ => {
+                    // An unevaluated draw still advances the stream.
+                    deferred.push(g.normal());
+                    deferred[deferred.len() - 1].value()
+                }
+            });
+            assert_eq!(digest(draws.collect::<Vec<_>>()), want, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn the_normal_bound_holds_at_the_smallest_uniform() {
+        let u1 = 1.0 / (1u64 << 53) as f64;
+        let r = (-2.0 * u1.ln()).sqrt();
+        assert!(r < NORMAL_BOUND, "r = {r}");
+        assert!(NORMAL_BOUND - r < 1e-4, "the bound is tight: r = {r}");
+        for u2 in [0.0, 0.125, 0.25, 0.5, 0.75, 0.999_999] {
+            for sine in [false, true] {
+                let z = Normal { u1, u2, sine }.value();
+                assert!(z.abs() < NORMAL_BOUND, "z = {z} at u2 = {u2}");
+            }
+        }
+        // Every other uniform gives a smaller radius.
+        let z = Normal { u1: 2.0 * u1, u2: 0.0, sine: false }.value();
+        assert!(z < r);
     }
 
     #[test]

@@ -293,32 +293,51 @@ impl AnalogWaveform {
     /// before it contribute their settled level in closed form, and only
     /// the window is summed.
     pub fn value_at(&self, t: Instant) -> f64 {
-        let swing = self.levels.swing().as_f64();
-        let base = if self.digital.initial_level() {
+        // Find the window of edges that can influence t.
+        let lo_idx = self.digital.edges().partition_point(|e| e.at < t - self.window());
+        self.value_from(t, lo_idx)
+    }
+
+    /// How far from `t` an edge still enters [`value_at`](Self::value_at)'s
+    /// logistic sum.
+    fn window(&self) -> Duration {
+        let max_tau = self.shape.rise_tau_fs.max(self.shape.fall_tau_fs);
+        Duration::from_fs((max_tau * EDGE_WINDOW_TAUS).ceil() as i64)
+    }
+
+    /// The level before any edge.
+    fn base(&self) -> f64 {
+        if self.digital.initial_level() {
             self.levels.voh().as_f64()
         } else {
             self.levels.vol().as_f64()
-        };
-        let edges = self.digital.edges();
-        if edges.is_empty() {
-            return base;
         }
-        // Find the window of edges that can influence t.
-        let max_tau = self.shape.rise_tau_fs.max(self.shape.fall_tau_fs);
-        let win = Duration::from_fs((max_tau * EDGE_WINDOW_TAUS).ceil() as i64);
-        let lo_idx = edges.partition_point(|e| e.at < t - win);
-        // Edges fully in the past (before the window) contribute their full
-        // step. Polarities strictly alternate (every constructor enforces
-        // it), so those steps cancel in pairs: the settled level is `base`
-        // after an even count and one step away after an odd one. This is
-        // bit-identical to summing them one by one, because levels are
-        // whole millivolts and every partial sum is an integer that f64
-        // represents exactly.
-        let mut v = match edges.first() {
-            Some(first) if lo_idx % 2 == 1 => base + first.polarity.sign() * swing,
+    }
+
+    /// The level once every edge in `edges[..count]` has settled.
+    /// Polarities strictly alternate (every constructor enforces it), so
+    /// those steps cancel in pairs: the settled level is the base after an
+    /// even count and one step away after an odd one. This is bit-identical
+    /// to summing them one by one, because levels are whole millivolts and
+    /// every partial sum is an integer that f64 represents exactly.
+    fn settled_after(&self, count: usize) -> f64 {
+        let base = self.base();
+        match self.digital.edges().first() {
+            Some(first) if count % 2 == 1 => {
+                base + first.polarity.sign() * self.levels.swing().as_f64()
+            }
             _ => base,
-        };
-        for e in &edges[lo_idx..] {
+        }
+    }
+
+    /// [`value_at`](Self::value_at) given `lo_idx`, the number of edges
+    /// before the window around `t`: those contribute their full step,
+    /// and only the window is summed.
+    fn value_from(&self, t: Instant, lo_idx: usize) -> f64 {
+        let swing = self.levels.swing().as_f64();
+        let win = self.window();
+        let mut v = self.settled_after(lo_idx);
+        for e in self.digital.edges().get(lo_idx..).unwrap_or_default() {
             let dt = (t - e.at).as_fs() as f64;
             if dt < -win.as_fs() as f64 {
                 break;
@@ -327,6 +346,32 @@ impl AnalogWaveform {
             v += e.polarity.sign() * swing * logistic(dt / tau);
         }
         v
+    }
+
+    /// A comparator that decides `value_at(t) >= threshold` (millivolts)
+    /// for a run of instants, cheaply where the waveform has settled far
+    /// from the threshold. See [`Comparator`].
+    pub fn comparator(&self, threshold: f64) -> Comparator<'_> {
+        let swing = self.levels.swing().as_f64();
+        let settled = |count| {
+            let level = self.settled_after(count);
+            (level > threshold, (level - threshold).abs() - DECISION_MARGIN_MV)
+        };
+        // Polarities alternate, so an edge's τ follows its index parity.
+        let inv_tau = |index: usize| match self.digital.edges().get(index) {
+            Some(e) => 1.0 / self.shape.tau_fs(e.polarity),
+            None => 0.0,
+        };
+        Comparator {
+            wave: self,
+            threshold,
+            window: self.window(),
+            settled: [settled(0), settled(1)],
+            swing,
+            inv_tau: [inv_tau(0), inv_tau(1)],
+            edge_rounding: EDGE_ROUNDING_ULPS * f64::EPSILON * (self.base().abs() + 3.0 * swing),
+            cursor: 0,
+        }
     }
 
     /// Finds the instant in `[lo, hi]` where the waveform crosses
@@ -412,6 +457,172 @@ impl AnalogWaveform {
     #[must_use]
     pub fn with_levels(&self, levels: LevelSet) -> AnalogWaveform {
         AnalogWaveform { digital: self.digital.clone(), levels, shape: self.shape }
+    }
+}
+
+/// Absolute slack (millivolts) a [`Comparator`] certificate keeps on top
+/// of its bound. `value_at` rounds by under 1e-11 mV at millivolt-scale
+/// levels; this margin is five orders of magnitude wider.
+const DECISION_MARGIN_MV: f64 = 1e-6;
+
+/// Per window edge, the rounding a certificate allows for, in ulps of the
+/// largest partial sum `value_at` can reach (`|base| + 3·swing`): the
+/// logistic term's own evaluation plus the addition into the sum.
+const EDGE_ROUNDING_ULPS: f64 = 4.0;
+
+/// A threshold comparator over an [`AnalogWaveform`].
+///
+/// A comparator only needs to know which side of its threshold the signal
+/// is on, and where the signal has settled far from the threshold that
+/// answer needs no logistic sum. [`decided_within`](Self::decided_within)
+/// certifies such answers for a whole interval of instants;
+/// [`is_high_at`](Self::is_high_at) answers for one instant, falling back
+/// to [`AnalogWaveform::value_at`] — the single definition of the
+/// waveform — when no certificate exists. Either way the answer is
+/// exactly `value_at(t) >= threshold`.
+///
+/// **The certificate.** Between edges, the waveform's *settled* level is
+/// VOH or VOL, chosen by the parity of the edges before it (polarities
+/// alternate). `value_at` differs from the settled level only through
+/// the edges inside its 20 τ window, and an edge `|dt|` away moves it by
+/// `swing·logistic(−a)`, `a = |dt|/τ`. Because `eᵃ ≥ 1 + a + a²/2 + a³/6`,
+/// that is below `swing / (2 + a + a²/2 + a³/6)`. Edges outside the
+/// window contribute their exact step in `value_at` and in the settled
+/// level alike. So when no edge falls inside the interval and
+/// `|settled − threshold|` exceeds the sum of those bounds over every
+/// window edge (each at its nearest approach to the interval) plus a
+/// rounding margin, every instant in the interval decides alike.
+///
+/// The comparator keeps an edge cursor that moves with the queried
+/// instants, so a forward sweep (one strobe per bit) costs O(1) per
+/// query instead of a binary search.
+///
+/// # Examples
+///
+/// ```
+/// use pstime::{DataRate, Duration, Instant};
+/// use signal::jitter::NoJitter;
+/// use signal::{AnalogWaveform, BitStream, DigitalWaveform, EdgeShape, LevelSet};
+///
+/// let rate = DataRate::from_gbps(2.5);
+/// let bits = BitStream::from_str_bits("0011");
+/// let d = DigitalWaveform::from_bits(&bits, rate, &NoJitter, 0);
+/// let wave = AnalogWaveform::new(d, LevelSet::pecl(), EdgeShape::default());
+/// let mut cmp = wave.comparator(-1300.0);
+/// // Mid-bit, far from the 800 ps edge: decided for ±20 ps without a sum.
+/// assert_eq!(cmp.decided_within(Instant::from_ps(200), Duration::from_ps(20)), Some(false));
+/// assert_eq!(cmp.decided_within(Instant::from_ps(1400), Duration::from_ps(20)), Some(true));
+/// // On the edge itself there is no certificate; is_high_at still answers.
+/// assert_eq!(cmp.decided_within(Instant::from_ps(800), Duration::from_ps(20)), None);
+/// let t = Instant::from_ps(801);
+/// assert_eq!(cmp.is_high_at(t), wave.value_at(t) >= -1300.0);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Comparator<'a> {
+    wave: &'a AnalogWaveform,
+    threshold: f64,
+    window: Duration,
+    /// `(settled level above the threshold, certifiable gap)` after an
+    /// even and after an odd number of edges.
+    settled: [(bool, f64); 2],
+    swing: f64,
+    /// `1/τ` of the edges at even and at odd indices.
+    inv_tau: [f64; 2],
+    /// Rounding allowance per window edge, see [`EDGE_ROUNDING_ULPS`].
+    edge_rounding: f64,
+    /// Edges before the last seek key.
+    cursor: usize,
+}
+
+impl Comparator<'_> {
+    /// The decision threshold (millivolts).
+    pub fn threshold(&self) -> f64 {
+        self.threshold
+    }
+
+    /// `Some(value_at(t) >= threshold)` when that answer is the same for
+    /// every `t` within `slack` of `center` and the certificate above
+    /// proves it; `None` when it cannot.
+    pub fn decided_within(&mut self, center: Instant, slack: Duration) -> Option<bool> {
+        let edges = self.wave.digital.edges();
+        let (lo, hi) = (center - slack, center + slack);
+        let before = self.seek(lo);
+        if edges.get(before).is_some_and(|e| e.at <= hi) {
+            // An edge inside the interval: the settled level changes.
+            return None;
+        }
+        let (high, gap) = self.settled[before % 2];
+        if gap <= 0.0 {
+            return None;
+        }
+        // Window edges on either side, nearest first, each at its nearest
+        // approach to [lo, hi]; edges past the windows contribute nothing.
+        let mut bound = 0.0;
+        let (first, last) = (lo - self.window, hi + self.window);
+        for (j, e) in edges.iter().enumerate().take(before).rev() {
+            if e.at < first {
+                break;
+            }
+            bound += self.edge_bound(lo - e.at, j);
+            if bound >= gap {
+                return None;
+            }
+        }
+        for (j, e) in edges.iter().enumerate().skip(before) {
+            if e.at > last {
+                break;
+            }
+            bound += self.edge_bound(e.at - hi, j);
+            if bound >= gap {
+                return None;
+            }
+        }
+        Some(high)
+    }
+
+    /// Exactly `value_at(t) >= threshold`: certified at `t` when
+    /// possible, otherwise evaluated by the waveform's own sum.
+    pub fn is_high_at(&mut self, t: Instant) -> bool {
+        if let Some(high) = self.decided_within(t, Duration::ZERO) {
+            return high;
+        }
+        // The cursor counts the edges before t; value_at's window starts
+        // at the first edge no earlier than t − window.
+        let edges = self.wave.digital.edges();
+        let first = t - self.window;
+        let mut lo_idx = self.cursor;
+        while lo_idx > 0 && edges.get(lo_idx - 1).is_some_and(|e| e.at >= first) {
+            lo_idx -= 1;
+        }
+        self.wave.value_from(t, lo_idx) >= self.threshold
+    }
+
+    /// The largest move, rounding included, that edge `index`, `distance`
+    /// from every instant in question, can make.
+    fn edge_bound(&self, distance: Duration, index: usize) -> f64 {
+        let a = distance.as_fs() as f64 * self.inv_tau[index % 2];
+        self.swing / (2.0 + a * (1.0 + a * (0.5 + a / 6.0))) + self.edge_rounding
+    }
+
+    /// Moves the cursor to the number of edges before `key` and returns
+    /// it: a short walk from where the last query left it, or a binary
+    /// search when the key jumped further.
+    fn seek(&mut self, key: Instant) -> usize {
+        const WALK: usize = 8;
+        let edges = self.wave.digital.edges();
+        let mut i = self.cursor.min(edges.len());
+        for _ in 0..WALK {
+            match (i.checked_sub(1).and_then(|p| edges.get(p)), edges.get(i)) {
+                (Some(prev), _) if prev.at >= key => i -= 1,
+                (_, Some(next)) if next.at < key => i += 1,
+                _ => {
+                    self.cursor = i;
+                    return i;
+                }
+            }
+        }
+        self.cursor = edges.partition_point(|e| e.at < key);
+        self.cursor
     }
 }
 
@@ -676,6 +887,189 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Waveforms for the comparator equivalence tests: jittered
+    /// pseudo-random patterns at 1, 2.5, 4 and 5 Gb/s with equal and with
+    /// unequal rise and fall times, their inverted, delayed and xored
+    /// variants, hand-placed edges starting high and low, PECL and
+    /// LVCMOS levels, and an edgeless waveform.
+    fn comparator_waves() -> Vec<AnalogWaveform> {
+        let bits = BitStream::from_fn(40, |i| (i * 7 + i / 5 + (i * i) % 11) % 3 == 0);
+        let budget = crate::jitter::JitterBudget::new()
+            .with_rj_rms_ps(3.2)
+            .with_dcd_ps(12.0)
+            .with_isi_ps(8.0);
+        let shapes =
+            [EdgeShape::from_rise_2080_ps(72.0), EdgeShape::from_rise_fall_2080_ps(120.0, 70.0)];
+        let mut waves = Vec::new();
+        for (k, gbps) in [1.0, 2.5, 4.0, 5.0].into_iter().enumerate() {
+            let d =
+                DigitalWaveform::from_bits(&bits, DataRate::from_gbps(gbps), &budget, 9 + k as u64);
+            let shape = shapes[k % 2];
+            waves.push(AnalogWaveform::new(d.clone(), LevelSet::pecl(), shape));
+            waves.push(AnalogWaveform::new(d.inverted(), LevelSet::pecl(), shapes[1]));
+            if k == 1 {
+                waves.push(AnalogWaveform::new(
+                    d.delayed(Duration::from_ps(-137)),
+                    LevelSet::lvcmos18(),
+                    shape,
+                ));
+                waves.push(AnalogWaveform::new(
+                    d.xor(&d.delayed(Duration::from_ps(45))),
+                    LevelSet::pecl(),
+                    shapes[1],
+                ));
+            }
+        }
+        for initial in [true, false] {
+            let mut level = initial;
+            let edges = (1..24)
+                .map(|i| {
+                    level = !level;
+                    let at = Instant::from_ps(i * 150 + (i % 4) * 35);
+                    if level {
+                        Edge::rising(at)
+                    } else {
+                        Edge::falling(at)
+                    }
+                })
+                .collect();
+            let d =
+                DigitalWaveform::from_edges(initial, edges, Instant::ZERO, Instant::from_ps(4_000));
+            waves.push(AnalogWaveform::new(d, LevelSet::pecl(), shapes[1]));
+        }
+        let flat = DigitalWaveform::constant(true, Instant::ZERO, Instant::from_ps(2_000));
+        waves.push(AnalogWaveform::new(flat, LevelSet::pecl(), shapes[0]));
+        waves
+    }
+
+    /// Thresholds beyond, at, just inside, and between the rails.
+    fn comparator_thresholds(levels: &LevelSet) -> Vec<f64> {
+        let (vol, voh) = (levels.vol().as_f64(), levels.voh().as_f64());
+        let mid = levels.mid().as_f64();
+        vec![
+            vol - 100.0,
+            vol,
+            vol + 0.5,
+            vol + 37.0,
+            mid,
+            mid + 0.25,
+            voh - 37.0,
+            voh - 0.5,
+            voh,
+            voh + 100.0,
+        ]
+    }
+
+    /// The instants to probe: a 997 fs grid over ±150 ps around every
+    /// edge, a coarse grid over the whole span, and every femtosecond
+    /// within ±20 fs of each mid-threshold crossing.
+    fn comparator_instants(a: &AnalogWaveform) -> Vec<Instant> {
+        let d = a.digital();
+        let mut ts = Vec::new();
+        let mut t = d.start() - Duration::from_ps(300);
+        while t < d.end() + Duration::from_ps(300) {
+            ts.push(t);
+            t += Duration::from_ps(11);
+        }
+        let mid = a.levels().mid().as_f64();
+        for e in d.edges() {
+            let mut t = e.at - Duration::from_ps(150);
+            while t < e.at + Duration::from_ps(150) {
+                ts.push(t);
+                t += Duration::from_fs(997);
+            }
+            let reach = Duration::from_ps(60);
+            if let Ok(x) = a.find_crossing(mid, e.at - reach, e.at + reach) {
+                ts.extend((-20..=20).map(|fs| x + Duration::from_fs(fs)));
+            }
+        }
+        ts
+    }
+
+    #[test]
+    fn is_high_at_equals_the_value_at_comparison() {
+        for (k, a) in comparator_waves().iter().enumerate() {
+            let ts = comparator_instants(a);
+            for thr in comparator_thresholds(a.levels()) {
+                // One comparator swept forward, one probed out of order.
+                let mut forward = a.comparator(thr);
+                let mut scattered = a.comparator(thr);
+                for (i, &t) in ts.iter().enumerate() {
+                    let want = a.value_at(t) >= thr;
+                    assert_eq!(forward.is_high_at(t), want, "wave {k} thr {thr} at {t}");
+                    let u = ts[(i * 7919) % ts.len()];
+                    assert_eq!(
+                        scattered.is_high_at(u),
+                        a.value_at(u) >= thr,
+                        "wave {k} thr {thr} at {u}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_certified_interval_decides_every_instant_in_it() {
+        let mut certified = 0usize;
+        let mut queried = 0usize;
+        for (k, a) in comparator_waves().iter().enumerate() {
+            let d = a.digital();
+            for thr in comparator_thresholds(a.levels()) {
+                let mut cmp = a.comparator(thr);
+                for slack_fs in [0, 1, 17_144, 60_000] {
+                    let slack = Duration::from_fs(slack_fs);
+                    let step = Duration::from_fs((slack_fs / 10).max(1));
+                    let mut s = d.start() - Duration::from_ps(200);
+                    while s < d.end() + Duration::from_ps(200) {
+                        queried += 1;
+                        if let Some(high) = cmp.decided_within(s, slack) {
+                            certified += 1;
+                            let mut t = s - slack;
+                            while t <= s + slack {
+                                assert_eq!(
+                                    a.value_at(t) >= thr,
+                                    high,
+                                    "wave {k} thr {thr} s {s} ±{slack} at {t}"
+                                );
+                                t += step;
+                            }
+                            assert_eq!(
+                                a.value_at(s + slack) >= thr,
+                                high,
+                                "wave {k} thr {thr} at {s}+{slack}"
+                            );
+                        }
+                        s += Duration::from_ps(13);
+                    }
+                }
+            }
+        }
+        // The certificate is not vacuous: most mid-bit queries settle.
+        assert!(certified * 2 > queried, "certified {certified} of {queried}");
+    }
+
+    #[test]
+    fn the_certificate_is_refused_at_a_settled_rail() {
+        let a = analog("0011", 2.5, 72.0);
+        // Settled low exactly on VOL: the gap is zero, nothing certifies,
+        // and is_high_at still answers value_at's way.
+        let mut on_vol = a.comparator(-1700.0);
+        assert_eq!(on_vol.decided_within(Instant::from_ps(200), Duration::ZERO), None);
+        let t = Instant::from_ps(100);
+        assert_eq!(on_vol.is_high_at(t), a.value_at(t) >= -1700.0);
+        // A waveform with no edges is its base level everywhere.
+        let flat = AnalogWaveform::new(
+            DigitalWaveform::constant(false, Instant::ZERO, Instant::from_ps(100)),
+            LevelSet::pecl(),
+            EdgeShape::default(),
+        );
+        let mut cmp = flat.comparator(-1300.0);
+        assert_eq!(cmp.decided_within(Instant::from_ps(50), Duration::from_ps(500)), Some(false));
+        assert_eq!(flat.comparator(-1700.0).decided_within(Instant::ZERO, Duration::ZERO), None);
+        assert!(flat.comparator(-1700.0).is_high_at(Instant::ZERO));
+        assert_eq!(cmp.threshold(), -1300.0);
     }
 
     #[test]
