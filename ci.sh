@@ -12,6 +12,9 @@ cargo build --release --offline
 # with the exec engine fanned out to four workers.
 EXEC_THREADS=1 cargo test -q --offline
 EXEC_THREADS=4 cargo test -q --offline
+# perfbench is a workspace of its own, so the runs above do not reach
+# its unit tests (generators, statistics, digest checks, arguments).
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --offline -- -D warnings
 # First-party static analysis: determinism, unit-safety, panic-freedom,
 # job-purity, and dataflow contracts (rules R1–R8 plus the call-graph and

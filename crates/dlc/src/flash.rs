@@ -138,8 +138,15 @@ impl fmt::Display for Bitstream {
 /// programming; returning them to 1 requires a sector erase. The JTAG layer
 /// drives [`erase_all`](FlashMemory::erase_all) then
 /// [`program_word`](FlashMemory::program_word) once per shifted word.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Only the programmed prefix of the device is stored; every word past it
+/// reads erased. A 512 KiB part holding a 1 KiB image costs 1 KiB, and an
+/// erase is O(1). Equality compares device contents, however they are
+/// stored.
+#[derive(Debug, Clone)]
 pub struct FlashMemory {
+    capacity: usize,
+    /// Words `0..words.len()`; the rest of the device is erased.
     words: Vec<u32>,
 }
 
@@ -154,17 +161,26 @@ impl FlashMemory {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "flash capacity must be nonzero");
-        FlashMemory { words: vec![ERASED; capacity] }
+        FlashMemory { capacity, words: Vec::new() }
     }
 
     /// Device capacity in words.
     pub fn capacity(&self) -> usize {
-        self.words.len()
+        self.capacity
     }
 
     /// Erases the whole device back to all-ones.
     pub fn erase_all(&mut self) {
-        self.words.fill(ERASED);
+        self.words.clear();
+    }
+
+    /// Extends the stored prefix, with erased words, to at least `len`
+    /// words and returns the first `len`.
+    fn cover(&mut self, len: usize) -> &mut [u32] {
+        if self.words.len() < len {
+            self.words.resize(len, ERASED);
+        }
+        self.words.get_mut(..len).unwrap_or_default()
     }
 
     /// Programs `data` starting at word 0 (NOR semantics: can only clear
@@ -174,10 +190,10 @@ impl FlashMemory {
     ///
     /// [`DlcError::InvalidBitstream`] if the image does not fit.
     pub fn program(&mut self, data: &[u32]) -> Result<()> {
-        if data.len() > self.words.len() {
+        if data.len() > self.capacity {
             return Err(DlcError::InvalidBitstream { reason: "image exceeds flash capacity" });
         }
-        for (w, d) in self.words.iter_mut().zip(data) {
+        for (w, d) in self.cover(data.len()).iter_mut().zip(data) {
             *w &= *d; // NOR programming clears bits only
         }
         Ok(())
@@ -189,17 +205,37 @@ impl FlashMemory {
     ///
     /// [`DlcError::InvalidBitstream`] if `addr` is past the device.
     pub fn program_word(&mut self, addr: usize, word: u32) -> Result<()> {
-        let w = self
-            .words
-            .get_mut(addr)
-            .ok_or(DlcError::InvalidBitstream { reason: "image exceeds flash capacity" })?;
-        *w &= word;
+        if addr >= self.capacity {
+            return Err(DlcError::InvalidBitstream { reason: "image exceeds flash capacity" });
+        }
+        if let Some(w) = self.cover(addr + 1).last_mut() {
+            *w &= word;
+        }
         Ok(())
     }
 
-    /// Reads the stored words (the whole device).
-    pub fn read_all(&self) -> &[u32] {
-        &self.words
+    /// Reads the word at `addr`, or `None` past the device.
+    pub fn read_word(&self, addr: usize) -> Option<u32> {
+        (addr < self.capacity).then(|| self.words.get(addr).copied().unwrap_or(ERASED))
+    }
+
+    /// Reads the stored words (the whole device, materialised).
+    pub fn read_all(&self) -> Vec<u32> {
+        self.read_prefix(self.capacity)
+    }
+
+    /// The first `len` words of the device (`len` at most the capacity).
+    fn read_prefix(&self, len: usize) -> Vec<u32> {
+        let mut words: Vec<u32> = self.words.iter().copied().take(len).collect();
+        words.resize(len, ERASED);
+        words
+    }
+
+    /// The stored words without their erased tail: the device contents
+    /// in canonical form.
+    fn programmed(&self) -> &[u32] {
+        let end = self.words.iter().rposition(|w| *w != ERASED).map_or(0, |last| last + 1);
+        self.words.get(..end).unwrap_or_default()
     }
 
     /// Attempts to parse a valid bitstream from the device contents.
@@ -208,21 +244,20 @@ impl FlashMemory {
     ///
     /// [`DlcError::InvalidBitstream`] if the flash is blank or corrupt.
     pub fn load_bitstream(&self) -> Result<Bitstream> {
-        if self.words.first() == Some(&ERASED) {
+        if self.read_word(0) == Some(ERASED) {
             return Err(DlcError::InvalidBitstream { reason: "flash is blank" });
         }
         // The image length is discoverable from the header.
-        if self.words.len() < 3 {
+        let Some(len) = self.read_word(2) else {
             return Err(DlcError::InvalidBitstream { reason: "image too short" });
-        }
-        let len = self.words[2] as usize;
-        let total = len
+        };
+        let total = (len as usize)
             .checked_add(4)
             .ok_or(DlcError::InvalidBitstream { reason: "length field mismatch" })?;
-        if total > self.words.len() {
+        if total > self.capacity {
             return Err(DlcError::InvalidBitstream { reason: "length field mismatch" });
         }
-        Bitstream::from_words(&self.words[..total])
+        Bitstream::from_words(&self.read_prefix(total))
     }
 
     /// Flips one bit — a fault-injection hook for testing CRC detection.
@@ -232,9 +267,20 @@ impl FlashMemory {
     /// Panics if `word` is out of range or `bit > 31`.
     pub fn corrupt_bit(&mut self, word: usize, bit: u8) {
         assert!(bit < 32, "bit index out of range");
-        self.words[word] ^= 1 << bit;
+        assert!(word < self.capacity, "word index out of range");
+        if let Some(w) = self.cover(word + 1).last_mut() {
+            *w ^= 1 << bit;
+        }
     }
 }
+
+impl PartialEq for FlashMemory {
+    fn eq(&self, other: &Self) -> bool {
+        self.capacity == other.capacity && self.programmed() == other.programmed()
+    }
+}
+
+impl Eq for FlashMemory {}
 
 /// Plain CRC-32 (IEEE 802.3, bit-reflected) over a word slice.
 fn crc32(words: &[u32]) -> u32 {
@@ -359,6 +405,42 @@ mod tests {
             by_word.program_word(512, 0),
             Err(DlcError::InvalidBitstream { reason: "image exceeds flash capacity" })
         ));
+    }
+
+    #[test]
+    fn erased_words_are_implicit() {
+        let mut flash = FlashMemory::new(131_072);
+        assert_eq!(flash.read_word(131_071), Some(ERASED));
+        assert_eq!(flash.read_word(131_072), None);
+        flash.program_word(5, 0x1234_5678).unwrap();
+        assert_eq!(flash.read_word(4), Some(ERASED));
+        assert_eq!(flash.read_word(5), Some(0x1234_5678));
+        let all = flash.read_all();
+        assert_eq!(all.len(), 131_072);
+        assert!(all
+            .iter()
+            .enumerate()
+            .all(|(i, w)| *w == if i == 5 { 0x1234_5678 } else { ERASED }));
+        // Equality is by contents: an erased word stored explicitly
+        // equals one that is implicit.
+        let mut explicit = FlashMemory::new(131_072);
+        explicit.program(&[ERASED; 9]).unwrap();
+        explicit.program_word(5, 0x1234_5678).unwrap();
+        assert_eq!(explicit, flash);
+        assert_ne!(explicit, FlashMemory::new(131_072));
+        assert_ne!(FlashMemory::new(8), FlashMemory::new(9));
+        flash.erase_all();
+        assert_eq!(flash, FlashMemory::new(131_072));
+        // An image header may claim more words than were programmed.
+        let mut header_only = FlashMemory::new(512);
+        header_only.program(&Bitstream::example_design().to_words()[..3]).unwrap();
+        assert!(matches!(
+            header_only.load_bitstream(),
+            Err(DlcError::InvalidBitstream { reason: "CRC mismatch" })
+        ));
+        let mut rot = FlashMemory::new(16);
+        rot.corrupt_bit(15, 0);
+        assert_eq!(rot.read_word(15), Some(ERASED ^ 1));
     }
 
     #[test]

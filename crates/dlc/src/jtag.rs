@@ -209,7 +209,7 @@ impl JtagPort {
                 self.dr_shift = match self.instruction {
                     Instruction::Idcode => self.idcode as u64,
                     Instruction::FlashVerify => {
-                        let w = self.flash.read_all().get(self.flash_addr).copied().unwrap_or(0);
+                        let w = self.flash.read_word(self.flash_addr).unwrap_or(0);
                         w as u64
                     }
                     _ => 0,

@@ -8,7 +8,7 @@
 //! without a bench oscilloscope.
 
 use pstime::{DataRate, Duration, Instant, Millivolts};
-use rng::{Normal, Rng, SeedTree, StreamId, NORMAL_BOUND};
+use rng::{Rng, SeedTree, StreamId, NORMAL_BOUND};
 use signal::{AnalogWaveform, BitStream, Comparator};
 
 /// Substream identity for capture aperture-jitter draws.
@@ -112,7 +112,7 @@ impl StrobedSampler {
         if let Some(high) = cmp.decided_within(strobe, jitter_reach(self.aperture_rj)) {
             return high;
         }
-        cmp.is_high_at(strobe + jitter(draw, self.aperture_rj))
+        cmp.is_high_at(strobe + self.aperture_rj.mul_f64(draw.value()))
     }
 
     /// Captures `n` bits: one strobe per unit interval at phase offset
@@ -162,16 +162,12 @@ impl StrobedSampler {
     }
 }
 
-/// The aperture displacement of one draw: `z·σ`, rounded to the femtosecond.
-fn jitter(draw: Normal, sigma: Duration) -> Duration {
-    Duration::from_fs((draw.value() * sigma.as_fs() as f64).round() as i64)
-}
-
-/// A reach no [`jitter`] exceeds: `|z| < NORMAL_BOUND`, so
-/// `|round(z·σ)| ≤ ⌈NORMAL_BOUND·σ⌉`, and one more femtosecond absorbs
-/// the rounding of the product.
+/// A reach no aperture displacement exceeds. A displacement is `σ·z`
+/// rounded to the femtosecond, with `|z| < NORMAL_BOUND`; the f64 product
+/// and the rounding are both monotone, so `|σ·z|` rounds to at most
+/// `σ·NORMAL_BOUND` rounded. One more femtosecond is spare.
 fn jitter_reach(sigma: Duration) -> Duration {
-    Duration::from_fs((NORMAL_BOUND * sigma.as_fs() as f64).ceil() as i64 + 1)
+    sigma.mul_f64(NORMAL_BOUND) + Duration::from_fs(1)
 }
 
 #[cfg(test)]

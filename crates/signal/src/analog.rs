@@ -535,11 +535,6 @@ pub struct Comparator<'a> {
 }
 
 impl Comparator<'_> {
-    /// The decision threshold (millivolts).
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
     /// `Some(value_at(t) >= threshold)` when that answer is the same for
     /// every `t` within `slack` of `center` and the certificate above
     /// proves it; `None` when it cannot.
@@ -600,7 +595,7 @@ impl Comparator<'_> {
     /// The largest move, rounding included, that edge `index`, `distance`
     /// from every instant in question, can make.
     fn edge_bound(&self, distance: Duration, index: usize) -> f64 {
-        let a = distance.as_fs() as f64 * self.inv_tau[index % 2];
+        let a = distance.as_fs_f64() * self.inv_tau[index % 2];
         self.swing / (2.0 + a * (1.0 + a * (0.5 + a / 6.0))) + self.edge_rounding
     }
 
@@ -1069,7 +1064,6 @@ mod tests {
         assert_eq!(cmp.decided_within(Instant::from_ps(50), Duration::from_ps(500)), Some(false));
         assert_eq!(flat.comparator(-1700.0).decided_within(Instant::ZERO, Duration::ZERO), None);
         assert!(flat.comparator(-1700.0).is_high_at(Instant::ZERO));
-        assert_eq!(cmp.threshold(), -1300.0);
     }
 
     #[test]

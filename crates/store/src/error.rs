@@ -79,6 +79,16 @@ pub enum StoreError {
         /// The ceiling it violated.
         max: usize,
     },
+    /// A segment id, record offset or record length does not fit the
+    /// index's 32-bit fields: the store has rotated through every
+    /// segment id, or a segment on disk is larger than this store
+    /// writes.
+    IndexOverflow {
+        /// Which quantity.
+        what: &'static str,
+        /// Its value.
+        value: u64,
+    },
 }
 
 impl StoreError {
@@ -96,6 +106,9 @@ impl fmt::Display for StoreError {
             StoreError::Record(e) => write!(f, "store record error: {e}"),
             StoreError::Oversized { what, len, max } => {
                 write!(f, "{what} of {len} bytes exceeds the {max}-byte store ceiling")
+            }
+            StoreError::IndexOverflow { what, value } => {
+                write!(f, "{what} {value} does not fit the store index's 32 bits")
             }
         }
     }

@@ -37,8 +37,9 @@
 //!   degrades to a miss (the full key bytes are stored and compared),
 //!   never to the wrong payload.
 //! * **Determinism**: nothing here reads a clock or iterates a hash
-//!   map; recency is a logical write sequence, so eviction order and
-//!   compaction output are functions of the put history alone.
+//!   map; recency is write order — a record's (segment id, offset) —
+//!   so eviction order and compaction output are functions of the put
+//!   history alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +51,7 @@ mod segment;
 pub use error::{RecordError, StoreError};
 pub use segment::{
     CompactionReport, Store, StoreConfig, StoreStats, DEFAULT_MAX_BYTES, DEFAULT_SEGMENT_BYTES,
-    MIN_SEGMENT_BYTES,
+    MAX_SEGMENT_BYTES, MIN_SEGMENT_BYTES,
 };
 
 /// Admission ceilings for quantities decoded from disk. Segment bytes

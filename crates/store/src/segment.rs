@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::error::{RecordError, StoreError};
@@ -36,6 +36,18 @@ pub const DEFAULT_MAX_BYTES: u64 = 64 << 20;
 /// Smallest accepted rotation threshold; lower settings are clamped up
 /// so a degenerate knob cannot produce a segment per record.
 pub const MIN_SEGMENT_BYTES: u64 = 4096;
+
+/// Largest accepted rotation threshold and disk bound. The index keeps
+/// record offsets as `u32`, and compaction writes every live record into
+/// one segment, so neither a segment nor the live set may outgrow a
+/// `u32` offset (with room for one more maximal record).
+pub const MAX_SEGMENT_BYTES: u64 = 1 << 31;
+
+/// Share of the disk bound, in percent, that eviction leaves live once
+/// the bound is crossed. Evicting below the bound (not just under it)
+/// means one compaction buys room for a quarter of the bound of new
+/// records, instead of one compaction per put.
+const LOW_WATER_PERCENT: u64 = 75;
 
 /// Scratch name a compaction writes into before the atomic rename; a
 /// leftover (crash mid-compaction) is deleted at open, never read.
@@ -63,17 +75,19 @@ impl StoreConfig {
         }
     }
 
-    /// Sets the rotation threshold, clamped to [`MIN_SEGMENT_BYTES`].
+    /// Sets the rotation threshold, clamped to
+    /// [`MIN_SEGMENT_BYTES`]`..=`[`MAX_SEGMENT_BYTES`].
     #[must_use]
     pub fn segment_bytes(mut self, bytes: u64) -> Self {
-        self.segment_bytes = bytes.max(MIN_SEGMENT_BYTES);
+        self.segment_bytes = bytes.clamp(MIN_SEGMENT_BYTES, MAX_SEGMENT_BYTES);
         self
     }
 
-    /// Sets the total disk bound, clamped to the rotation threshold.
+    /// Sets the total disk bound, clamped to the rotation threshold and
+    /// to [`MAX_SEGMENT_BYTES`].
     #[must_use]
     pub fn max_bytes(mut self, bytes: u64) -> Self {
-        self.max_bytes = bytes.max(self.segment_bytes);
+        self.max_bytes = bytes.clamp(self.segment_bytes, MAX_SEGMENT_BYTES);
         self
     }
 }
@@ -118,15 +132,37 @@ pub struct CompactionReport {
     pub bytes_after: u64,
 }
 
-/// Where a live record sits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Where a live record sits: 12 bytes per indexed record.
+///
+/// The order of locations is write order — recency without a clock.
+/// Segment ids only grow, appends and the recovery scan run in file
+/// order, and compaction rewrites the live records in this order into a
+/// segment with a higher id than any it replaces. Eviction takes the
+/// smallest location first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct RecordLoc {
-    segment: u64,
-    offset: u64,
-    len: u64,
-    /// Logical write sequence — recency without a clock. Eviction is
-    /// lowest-sequence first; compaction preserves sequence order.
-    seq: u64,
+    segment: u32,
+    offset: u32,
+    len: u32,
+}
+
+impl RecordLoc {
+    /// A location from file coordinates, or a typed error when one does
+    /// not fit the index's `u32` fields.
+    fn new(segment: u64, offset: u64, len: u64) -> Result<Self, StoreError> {
+        let narrow = |what, value: u64| {
+            u32::try_from(value).map_err(|_| StoreError::IndexOverflow { what, value })
+        };
+        Ok(RecordLoc {
+            segment: narrow("segment id", segment)?,
+            offset: narrow("record offset", offset)?,
+            len: narrow("record length", len)?,
+        })
+    }
+
+    fn len(self) -> u64 {
+        u64::from(self.len)
+    }
 }
 
 /// The persistent content-addressed store.
@@ -140,7 +176,6 @@ pub struct Store {
     active: u64,
     active_file: File,
     index: BTreeMap<u64, RecordLoc>,
-    next_seq: u64,
     live_bytes: u64,
     recovered_records: u64,
     reclaimed_bytes: u64,
@@ -154,6 +189,16 @@ pub struct Store {
 
 fn segment_file_name(id: u64) -> String {
     format!("seg-{id:08x}.atds")
+}
+
+/// Reads the record at `loc` from an open handle on its segment.
+fn read_record_from(file: &mut File, loc: RecordLoc, path: &Path) -> Result<Vec<u8>, StoreError> {
+    file.seek(SeekFrom::Start(u64::from(loc.offset)))
+        .map_err(|e| StoreError::io("seek record", path, &e))?;
+    let len = usize::try_from(loc.len).unwrap_or(0);
+    let mut bytes = vec![0u8; len];
+    file.read_exact(&mut bytes).map_err(|e| StoreError::io("read record", path, &e))?;
+    Ok(bytes)
 }
 
 /// Parses `seg-<hex>.atds` back to its id; `None` for anything else.
@@ -197,6 +242,10 @@ impl Store {
             }
         }
         ids.sort_unstable();
+        if let Some(&id) = ids.last() {
+            // Every id must fit the index, and so must the next one.
+            RecordLoc::new(id.saturating_add(1), 0, 0)?;
+        }
 
         // The active append handle can be opened before recovery runs:
         // O_APPEND writes land at the file's end *at write time*, so a
@@ -217,13 +266,15 @@ impl Store {
 
         let mut store = Store {
             dir,
-            segment_bytes: config.segment_bytes.max(MIN_SEGMENT_BYTES),
-            max_bytes: config.max_bytes.max(config.segment_bytes).max(MIN_SEGMENT_BYTES),
+            segment_bytes: config.segment_bytes.clamp(MIN_SEGMENT_BYTES, MAX_SEGMENT_BYTES),
+            max_bytes: config
+                .max_bytes
+                .max(config.segment_bytes)
+                .clamp(MIN_SEGMENT_BYTES, MAX_SEGMENT_BYTES),
             segments: BTreeMap::new(),
             active,
             active_file,
             index: BTreeMap::new(),
-            next_seq: 0,
             live_bytes: 0,
             recovered_records: 0,
             reclaimed_bytes: 0,
@@ -319,15 +370,14 @@ impl Store {
         let len = saturating_u64(bytes.len());
         self.rotate_if_needed(len)?;
         let offset = self.segments.get(&self.active).copied().unwrap_or(SEGMENT_HEADER_BYTES);
+        let loc = RecordLoc::new(self.active, offset, len)?;
         let path = self.segment_path(self.active);
         self.active_file
             .write_all(&bytes)
             .map_err(|e| StoreError::io("append record", &path, &e))?;
         self.segments.insert(self.active, offset.saturating_add(len));
-        let loc = RecordLoc { segment: self.active, offset, len, seq: self.next_seq };
-        self.next_seq += 1;
         if let Some(old) = self.index.insert(fnv1a64(key), loc) {
-            self.live_bytes = self.live_bytes.saturating_sub(old.len);
+            self.live_bytes = self.live_bytes.saturating_sub(old.len());
             self.replaced += 1;
         }
         self.live_bytes = self.live_bytes.saturating_add(len);
@@ -338,7 +388,7 @@ impl Store {
         Ok(())
     }
 
-    /// Rewrites the live records — in write-sequence order — into a
+    /// Rewrites the live records — in write order — into a
     /// fresh segment and swaps it in atomically: write to a scratch
     /// file, fsync, rename to a segment id above every existing one,
     /// then delete the superseded segments and open a fresh active
@@ -355,28 +405,41 @@ impl Store {
     /// renamed.
     pub fn compact(&mut self) -> Result<CompactionReport, StoreError> {
         let bytes_before = self.disk_bytes();
-        let mut live: Vec<(u64, RecordLoc)> =
-            self.index.iter().map(|(digest, loc)| (*digest, *loc)).collect();
-        live.sort_unstable_by_key(|(_, loc)| loc.seq);
+        let compacted = self.segments.keys().next_back().map_or(1, |id| id.saturating_add(1));
+        // The compacted segment and the active one after it need ids.
+        RecordLoc::new(compacted.saturating_add(1), 0, 0)?;
+        let live = self.live_in_write_order();
 
         let tmp = self.dir.join(COMPACT_TMP);
-        let mut out = File::create(&tmp)
+        let file = File::create(&tmp)
             .map_err(|e| StoreError::io("create compaction scratch", &tmp, &e))?;
+        let mut out = BufWriter::new(file);
         out.write_all(&SEGMENT_MAGIC)
             .map_err(|e| StoreError::io("write compaction scratch", &tmp, &e))?;
         let mut rebuilt: BTreeMap<u64, RecordLoc> = BTreeMap::new();
         let mut offset = SEGMENT_HEADER_BYTES;
-        let compacted = self.segments.keys().next_back().map_or(1, |id| id.saturating_add(1));
-        for (digest, loc) in &live {
-            let bytes = self.read_record_bytes(*loc)?;
+        // Live records of one segment are adjacent in write order, so
+        // each segment is opened once.
+        let mut source: Option<(u32, PathBuf, File)> = None;
+        for (loc, digest) in live {
+            let (_, path, file) = match source {
+                Some(ref mut open) if open.0 == loc.segment => open,
+                _ => {
+                    let path = self.segment_path(u64::from(loc.segment));
+                    let file =
+                        File::open(&path).map_err(|e| StoreError::io("open segment", &path, &e))?;
+                    source.insert((loc.segment, path, file))
+                }
+            };
+            let bytes = read_record_from(file, loc, path)?;
             out.write_all(&bytes)
                 .map_err(|e| StoreError::io("write compaction scratch", &tmp, &e))?;
-            rebuilt.insert(
-                *digest,
-                RecordLoc { segment: compacted, offset, len: loc.len, seq: loc.seq },
-            );
-            offset = offset.saturating_add(loc.len);
+            rebuilt.insert(digest, RecordLoc::new(compacted, offset, loc.len())?);
+            offset = offset.saturating_add(loc.len());
         }
+        let out = out
+            .into_inner()
+            .map_err(|e| StoreError::io("write compaction scratch", &tmp, e.error()))?;
         out.sync_all().map_err(|e| StoreError::io("sync compaction scratch", &tmp, &e))?;
         drop(out);
         let compacted_path = self.segment_path(compacted);
@@ -440,14 +503,17 @@ impl Store {
 
     /// Reads one record's raw bytes back off its segment.
     fn read_record_bytes(&self, loc: RecordLoc) -> Result<Vec<u8>, StoreError> {
-        let path = self.segment_path(loc.segment);
+        let path = self.segment_path(u64::from(loc.segment));
         let mut file = File::open(&path).map_err(|e| StoreError::io("open segment", &path, &e))?;
-        file.seek(SeekFrom::Start(loc.offset))
-            .map_err(|e| StoreError::io("seek record", &path, &e))?;
-        let len = usize::try_from(loc.len).unwrap_or(0);
-        let mut bytes = vec![0u8; len];
-        file.read_exact(&mut bytes).map_err(|e| StoreError::io("read record", &path, &e))?;
-        Ok(bytes)
+        read_record_from(&mut file, loc, &path)
+    }
+
+    /// The live records, oldest written first, with their digests.
+    fn live_in_write_order(&self) -> Vec<(RecordLoc, u64)> {
+        let mut live: Vec<(RecordLoc, u64)> =
+            self.index.iter().map(|(digest, loc)| (*loc, *digest)).collect();
+        live.sort_unstable();
+        live
     }
 
     /// Scans segment `id` into the index. The scan stops at the first
@@ -474,18 +540,12 @@ impl Store {
                     break;
                 }
                 let Ok((found, used)) = record::decode(rest) else { break };
-                let loc = RecordLoc {
-                    segment: id,
-                    offset: valid,
-                    len: saturating_u64(used),
-                    seq: self.next_seq,
-                };
-                self.next_seq += 1;
+                let loc = RecordLoc::new(id, valid, saturating_u64(used))?;
                 if let Some(old) = self.index.insert(found.key_digest, loc) {
-                    self.live_bytes = self.live_bytes.saturating_sub(old.len);
+                    self.live_bytes = self.live_bytes.saturating_sub(old.len());
                 }
-                self.live_bytes = self.live_bytes.saturating_add(loc.len);
-                valid = valid.saturating_add(loc.len);
+                self.live_bytes = self.live_bytes.saturating_add(loc.len());
+                valid = valid.saturating_add(loc.len());
             }
         }
         if valid < file_len {
@@ -511,18 +571,21 @@ impl Store {
         Ok(())
     }
 
-    /// Evicts oldest-written records until the live set fits the disk
-    /// bound, then compacts so the dead bytes actually leave the disk.
+    /// Evicts oldest-written records, in one ordered pass, until the
+    /// live set is down to the low-water mark, then compacts once so the
+    /// dead bytes actually leave the disk.
     fn enforce_bound(&mut self) -> Result<(), StoreError> {
+        // The compacted segment and the fresh active one carry a header
+        // each.
         let budget = self.max_bytes.saturating_sub(2 * SEGMENT_HEADER_BYTES);
-        while self.live_bytes > budget {
-            let Some(oldest) =
-                self.index.iter().min_by_key(|(_, loc)| loc.seq).map(|(digest, _)| *digest)
-            else {
-                break;
-            };
-            if let Some(old) = self.index.remove(&oldest) {
-                self.live_bytes = self.live_bytes.saturating_sub(old.len);
+        let low_water = budget / 100 * LOW_WATER_PERCENT;
+        if self.live_bytes > low_water {
+            for (loc, digest) in self.live_in_write_order() {
+                if self.live_bytes <= low_water {
+                    break;
+                }
+                self.index.remove(&digest);
+                self.live_bytes = self.live_bytes.saturating_sub(loc.len());
                 self.evicted += 1;
             }
         }
@@ -637,6 +700,68 @@ mod tests {
         // The newest key always survives; the oldest is gone.
         assert!(store.get(&19u32.to_be_bytes()).expect("get").is_some());
         assert_eq!(store.get(&0u32.to_be_bytes()).expect("get"), None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn writing_past_the_bound_compacts_a_bounded_number_of_times() {
+        let dir = scratch_dir("bound-4x");
+        let bound = 64 * 1024;
+        let config = StoreConfig::new(&dir).segment_bytes(MIN_SEGMENT_BYTES).max_bytes(bound);
+        let mut store = Store::open(config).expect("open");
+        let payload = vec![0xC3u8; 1000];
+        let mut written = 0u64;
+        let mut keys = 0u32;
+        while written < 4 * bound {
+            store.put(&keys.to_be_bytes(), &payload).expect("put");
+            keys += 1;
+            written += u64::try_from(payload.len()).expect("small");
+            let disk = store.stats().disk_bytes;
+            assert!(disk <= bound, "disk {disk} past the {bound}-byte bound after put {keys}");
+        }
+        let stats = store.stats();
+        // Each compaction leaves the live set at the low-water mark, so
+        // the next one is a quarter of the bound of writes away.
+        let most = 4 * 100 / (100 - LOW_WATER_PERCENT) + 1;
+        assert!(
+            (1..=most).contains(&stats.compactions),
+            "{} compactions for 4x the bound (at most {most})",
+            stats.compactions
+        );
+        // Eviction is oldest written first: the survivors are exactly the
+        // newest keys.
+        let alive: Vec<bool> =
+            (0..keys).map(|k| store.get(&k.to_be_bytes()).expect("get").is_some()).collect();
+        let first_alive = alive.iter().position(|a| *a).expect("the newest key survives");
+        assert!(alive[first_alive..].iter().all(|a| *a), "survivors are not a newest suffix");
+        assert_eq!(stats.evicted, u64::try_from(first_alive).expect("small"));
+        drop(store);
+        let reopened = Store::open(StoreConfig::new(&dir).max_bytes(bound)).expect("reopen");
+        assert_eq!(reopened.len(), alive.len() - first_alive);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn thresholds_clamp_to_what_the_index_can_address() {
+        let config = StoreConfig::new("unused").segment_bytes(u64::MAX).max_bytes(u64::MAX);
+        assert_eq!(config.segment_bytes, MAX_SEGMENT_BYTES);
+        assert_eq!(config.max_bytes, MAX_SEGMENT_BYTES);
+        assert_eq!(StoreConfig::new("unused").segment_bytes(1).segment_bytes, MIN_SEGMENT_BYTES);
+        assert_eq!(
+            RecordLoc::new(u64::from(u32::MAX) + 1, 0, 0),
+            Err(StoreError::IndexOverflow { what: "segment id", value: u64::from(u32::MAX) + 1 })
+        );
+        assert_eq!(std::mem::size_of::<RecordLoc>(), 12);
+    }
+
+    #[test]
+    fn a_segment_id_past_the_index_is_a_typed_error() {
+        let dir = scratch_dir("id-overflow");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let last = segment_file_name(u64::from(u32::MAX));
+        std::fs::write(dir.join(last), SEGMENT_MAGIC).expect("plant segment");
+        let err = Store::open(StoreConfig::new(&dir)).expect_err("no id left for the next segment");
+        assert!(matches!(err, StoreError::IndexOverflow { what: "segment id", .. }), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

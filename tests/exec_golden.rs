@@ -44,8 +44,8 @@ fn shmoo_on_the_rails() -> JobSpec {
     JobSpec::shmoo(DataRate::from_gbps(2.5), 256, 19, &config, 23)
 }
 
-/// Half the dies marginal, so many sites test through the degraded
-/// loopback channel.
+/// A marginal-defect rate of one half (3 of these 12 dies draw one), so
+/// several dies test through the degraded loopback channel.
 fn wafer_marginal() -> JobSpec {
     JobSpec::wafer(&minitester::WaferRunConfig {
         dies: 12,
